@@ -1,9 +1,10 @@
 """Regenerate every table and figure of the paper at full size.
 
-This is the paper-vs-measured harness behind EXPERIMENTS.md: it runs the
-complete experiment suite (53-node lines, 100-chip ensembles, 16x16 CNN,
-1000 max-cut instances, 1000 random netlists) and prints one block per
-table/figure with the paper's numbers next to ours.
+It runs the complete experiment suite (53-node lines, 100-chip
+ensembles, 16x16 CNN, 1000 max-cut instances, 1000 random netlists) and
+prints to stdout one block per table/figure, each line setting the
+paper's number next to the measured one. It writes no file and gates
+nothing: the printed blocks are the whole output.
 
 Run:  python benchmarks/run_experiments.py [--fast]
 

@@ -62,6 +62,7 @@ from repro.core import (
     Trajectory,
     ValidationReport,
     compile_graph,
+    compile_graphs,
     dilate,
     integer,
     lambd,
@@ -117,6 +118,7 @@ __all__ = [
     "Trajectory",
     "ValidationReport",
     "compile_graph",
+    "compile_graphs",
     "dilate",
     "integer",
     "lambd",

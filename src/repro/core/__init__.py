@@ -25,7 +25,7 @@ from repro.core.graph import DynamicalGraph, Edge, Node
 from repro.core.builder import GraphBuilder
 from repro.core.function import ArkFunction
 from repro.core.validator import ValidationReport, validate
-from repro.core.compiler import compile_graph
+from repro.core.compiler import compile_graph, compile_graphs
 from repro.core.odesystem import DiffusionTerm, OdeSystem
 from repro.core.dilation import TimeDilatedSystem, dilate
 from repro.core.simulator import Trajectory, simulate, simulate_ensemble
@@ -58,6 +58,7 @@ __all__ = [
     "ValidationReport",
     "validate",
     "compile_graph",
+    "compile_graphs",
     "DiffusionTerm",
     "OdeSystem",
     "TimeDilatedSystem",

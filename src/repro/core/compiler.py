@@ -35,6 +35,34 @@ system ``dy = f(t,y) dt + Σ b_k(t,y) dW_k``:
 The result is an :class:`~repro.core.odesystem.OdeSystem` ready for
 simulation (deterministic solvers integrate the drift;
 :mod:`repro.sim.sde_solver` realizes the noise).
+
+Compilation runs in two steps, so that ensembles whose members differ
+only in attribute values (mismatch seeds, offsets, PUF chips) pay
+Algorithm 1 once:
+
+* the **structure step** (:func:`compile_structure`) is Algorithm 1
+  with attributes left symbolic. It yields a :class:`GraphStructure`:
+  states and their index, right-hand-side and algebraic
+  specifications, diffusion terms, the referenced attribute keys, the
+  names of the called functions, and the attributes carrying absolute
+  ``ns`` noise. It reads no attribute or initial value;
+* the **bind step** (:meth:`GraphStructure.bind`) resolves one graph's
+  attribute values, initial values and functions against a structure,
+  and reruns every value-dependent check: defaults and completeness,
+  missing attributes, unknown functions, and absolute noise on a
+  zero-valued parameter.
+
+:func:`compile_graph` is structure then bind. :func:`compile_graphs`
+keys each graph by :func:`structure_key` (the language's rule table;
+per node and edge its name, type, endpoints, switch state and
+attribute-key set), runs the structure step once per key and binds
+every graph; it returns what per-graph :func:`compile_graph` calls
+would, and raises the same errors at the same graph. Invariants: bound
+systems share the structure's containers, so nothing downstream may
+mutate them in place; the structures live for one call (there is no
+global cache); and a bound system's structural signature is the
+structure's, with the function-key part recomputed whenever its
+functions are not the very objects the first bound system saw.
 """
 
 from __future__ import annotations
@@ -43,7 +71,8 @@ from repro.core import expr as E
 from repro.core.graph import DynamicalGraph, Edge, Node
 from repro.core.language import Language
 from repro.core.odesystem import (AlgebraicSpec, ChainRhs, DiffusionTerm,
-                                  OdeSystem, StateVar, TermsRhs)
+                                  OdeSystem, StateVar, TermsRhs,
+                                  function_keys, signature_of)
 from repro.core.production import ProductionRule
 from repro.core.simplify import simplify
 from repro.core.types import Reduction
@@ -291,7 +320,8 @@ def _multiplicative_power(term: E.Expr, owner: str, attr: str,
 
 def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
                           state_index: int, graph: DynamicalGraph,
-                          diffusion: list[DiffusionTerm]):
+                          diffusion: list[DiffusionTerm],
+                          absolute: dict[tuple, float]):
     """First-order diffusion for ``ns``-annotated attributes: each drift
     term referencing a fluctuating parameter ``a`` gains the amplitude
     ``term * sigma`` (relative) or ``term * sigma/|a|`` (absolute).
@@ -302,11 +332,13 @@ def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
     as a pure ±1-power factor (true for every conductance /
     capacitance / coupling form in the shipped languages); other usages
     are rejected with a pointer to the explicit ``noise()`` escape
-    hatch rather than silently mis-scaled. Absolute-kind annotations on
-    a zero-valued parameter are rejected for the same reason — the
-    relative factor ``sigma/|a|`` is undefined there."""
+    hatch rather than silently mis-scaled. Absolute-kind annotations
+    are recorded in ``absolute`` (``(kind, owner, attr) -> sigma``):
+    on a zero-valued parameter the relative factor ``sigma/|a|`` is
+    undefined, and since that depends on the value, the bind step
+    rejects it per instance (:meth:`GraphStructure.bind`)."""
     for term in drift_terms:
-        for kind, owner, attr, annotation, element in \
+        for kind, owner, attr, annotation, _element in \
                 _noisy_attr_refs(term, graph):
             if node.type.reduction is not Reduction.SUM:
                 raise CompileError(
@@ -325,15 +357,7 @@ def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
             if annotation.kind == "rel":
                 factor: E.Expr = E.Const(annotation.sigma)
             else:
-                value = element.attrs.get(attr)
-                if isinstance(value, (int, float)) and \
-                        float(value) == 0.0:
-                    raise CompileError(
-                        f"ns({annotation.sigma}) on {owner}.{attr}: "
-                        "absolute noise on a zero-valued parameter "
-                        "has an undefined relative factor sigma/|a|; "
-                        "use ns(sigma,rel) or an explicit noise(...) "
-                        "term")
+                absolute.setdefault((kind, owner, attr), annotation.sigma)
                 factor = E.BinOp(
                     "/", E.Const(annotation.sigma),
                     E.Call("abs", (E.AttrRef(owner, attr, kind),)))
@@ -343,43 +367,158 @@ def _annotation_diffusion(node: Node, drift_terms: list[E.Expr],
                 element=owner, path=f"a:{attr}"))
 
 
-def _collect_attr_values(graph: DynamicalGraph,
-                         exprs: list[E.Expr]) -> dict[tuple, object]:
-    """Resolve every attribute reference in the compiled expressions."""
-    values: dict[tuple, object] = {}
+
+
+def _attr_keys(exprs: list[E.Expr]) -> tuple[tuple, ...]:
+    """Every ``(kind, owner, attr)`` the compiled expressions reference,
+    in first-reference order."""
+    keys: dict[tuple, None] = {}
     for tree in exprs:
         for node in tree.walk():
-            if not isinstance(node, E.AttrRef):
-                continue
-            kind = node.kind or "node"
-            key = (kind, node.owner, node.attr)
-            if key in values:
-                continue
-            if kind == "node":
-                element = graph.node(node.owner)
-            else:
-                element = graph.edge(node.owner)
-            if node.attr not in element.attrs:
-                raise CompileError(
-                    f"{kind} {node.owner} has no value for attribute "
-                    f"{node.attr}")
-            values[key] = element.attrs[node.attr]
-    return values
+            if isinstance(node, E.AttrRef):
+                keys.setdefault((node.kind or "node", node.owner,
+                                 node.attr))
+    return tuple(keys)
 
 
-def compile_graph(graph: DynamicalGraph,
-                  language: Language | None = None) -> OdeSystem:
-    """Compile ``graph`` into an :class:`OdeSystem` (Algorithm 1).
-
-    :param language: language whose rules drive compilation; defaults to
-        the graph's own language. Passing a derived language compiles the
-        same graph under the extended semantics — the inheritance rules
-        guarantee identical dynamics when the graph only uses parent types.
-    """
+def structure_key(graph: DynamicalGraph,
+                  language: Language | None = None) -> tuple:
+    """The cheap graph-level key under which two graphs compile to the
+    same :class:`GraphStructure`: the language's production-rule table
+    (rebuilt whenever the language changes), and per node / edge its
+    name, type, endpoints and switch state, and its attribute (and
+    initial-value) key set. Attribute *values* are not part of it."""
     language = language or graph.language
+    return (
+        language.rule_table(),
+        tuple((node.name, node.type, tuple(sorted(node.attrs)),
+               tuple(sorted(node.inits)))
+              for node in graph.nodes),
+        tuple((edge.name, edge.type, edge.src, edge.dst, edge.on,
+               tuple(sorted(edge.attrs)))
+              for edge in graph.edges),
+    )
+
+
+class GraphStructure:
+    """The value-free half of a compiled system — Algorithm 1's output
+    with attributes still symbolic — shared by every graph with the
+    same :func:`structure_key`.
+
+    It owns the state layout, the right-hand-side and algebraic
+    specifications, the diffusion terms, the referenced attribute keys,
+    the names of the functions the expressions call, and which
+    attributes carry absolute ``ns`` noise. :meth:`bind` resolves one
+    graph's values against it. Bound systems share these containers,
+    so none of them is ever mutated after construction.
+    """
+
+    def __init__(self, key: tuple, language: Language,
+                 states: list[StateVar],
+                 state_index: dict[tuple[str, int], int],
+                 rhs_specs: list[ChainRhs | TermsRhs],
+                 algebraic: list[AlgebraicSpec],
+                 diffusion: tuple[DiffusionTerm, ...],
+                 attr_keys: tuple[tuple, ...],
+                 needed: tuple[str, ...],
+                 absolute: dict[tuple, float]):
+        self.key = key
+        self.language = language
+        self.states = states
+        self.state_index = state_index
+        self.rhs_specs = rhs_specs
+        self.algebraic = algebraic
+        self.diffusion = diffusion
+        self.attr_keys = attr_keys
+        self.needed = needed
+        self.absolute = absolute
+        self._lead: tuple[dict, tuple] | None = None
+
+    def bind(self, graph: DynamicalGraph) -> OdeSystem:
+        """Resolve ``graph``'s attribute values, initial values and
+        functions against this structure. Raises :class:`CompileError`
+        when the graph's :func:`structure_key` differs."""
+        _prepare(graph)
+        if structure_key(graph, self.language) != self.key:
+            raise CompileError(
+                f"graph {graph.name} does not share the structure it "
+                "is bound to; compile it with compile_graph")
+        return self._bind(graph)
+
+    def _bind(self, graph: DynamicalGraph) -> OdeSystem:
+        """:meth:`bind` for a graph already prepared and keyed. Reruns
+        every value-dependent check of :func:`compile_graph`."""
+        def element(kind, owner):
+            return graph.node(owner) if kind == "node" \
+                else graph.edge(owner)
+
+        for (kind, owner, attr), sigma in self.absolute.items():
+            value = element(kind, owner).attrs.get(attr)
+            if isinstance(value, (int, float)) and float(value) == 0.0:
+                raise CompileError(
+                    f"ns({sigma}) on {owner}.{attr}: absolute noise on "
+                    "a zero-valued parameter has an undefined relative "
+                    "factor sigma/|a|; use ns(sigma,rel) or an explicit "
+                    "noise(...) term")
+        attr_values: dict[tuple, object] = {}
+        for key in self.attr_keys:
+            kind, owner, attr = key
+            attrs = element(kind, owner).attrs
+            if attr not in attrs:
+                raise CompileError(
+                    f"{kind} {owner} has no value for attribute {attr}")
+            attr_values[key] = attrs[attr]
+        available = self.language.functions()
+        missing = set(self.needed) - set(available)
+        if missing:
+            raise CompileError(
+                f"compiled expressions call unknown function(s) "
+                f"{sorted(missing)}")
+        y0 = [graph.node(state.node).inits.get(state.deriv, 0.0)
+              for state in self.states]
+        return OdeSystem(
+            graph=graph,
+            language=self.language,
+            states=self.states,
+            state_index=self.state_index,
+            rhs_specs=self.rhs_specs,
+            algebraic=self.algebraic,
+            attr_values=attr_values,
+            functions={name: available[name] for name in self.needed},
+            y0=y0,
+            diffusion=self.diffusion,
+            structure=self,
+        )
+
+    def signature(self, functions: dict[str, object]) -> tuple:
+        """The :meth:`OdeSystem.structural_signature` of a system bound
+        to this structure with ``functions``. The first call computes
+        it; later calls reuse it while the function identities match
+        and recompute only the function-key part otherwise (per-seed
+        registered closures must still split a batch)."""
+        if self._lead is None:
+            self._lead = (functions, signature_of(
+                self.states, self.rhs_specs, self.algebraic,
+                self.attr_keys, functions, self.diffusion))
+            return self._lead[1]
+        lead_functions, lead = self._lead
+        if all(functions[name] is lead_functions[name]
+               for name in self.needed):
+            return lead
+        return lead[:4] + (function_keys(functions),) + lead[5:]
+
+
+def _prepare(graph: DynamicalGraph):
+    """Fill defaults and run the §4.2 completeness check — the first,
+    value-dependent step of every compile."""
     graph.apply_defaults()
     graph.check_complete()
 
+
+def _compile_structure(graph: DynamicalGraph, language: Language,
+                       key: tuple) -> GraphStructure:
+    """Algorithm 1 on a prepared graph, without reading attribute or
+    initial values."""
     terms = _contributions(graph, language)
 
     # State allocation: p slots per order-p node, graph insertion order.
@@ -394,6 +533,7 @@ def compile_graph(graph: DynamicalGraph,
     # Right-hand sides, with the drift/diffusion split of any noise.
     rhs: list[ChainRhs | TermsRhs] = []
     diffusion: list[DiffusionTerm] = []
+    absolute: dict[tuple, float] = {}
     path_counters: dict[str, int] = {}
     for state in states:
         node = graph.node(state.node)
@@ -406,7 +546,7 @@ def compile_graph(graph: DynamicalGraph,
                                        state.index, path_counters,
                                        diffusion)
             _annotation_diffusion(node, drift, state.index, graph,
-                                  diffusion)
+                                  diffusion, absolute)
             rhs.append(TermsRhs(tuple(drift), node.type.reduction))
 
     algebraic = []
@@ -435,30 +575,59 @@ def compile_graph(graph: DynamicalGraph,
                  for expr in spec.terms]
     all_exprs += [expr for spec in algebraic for expr in spec.terms]
     all_exprs += [term.amplitude for term in diffusion]
-    attr_values = _collect_attr_values(graph, all_exprs)
-
-    functions = language.functions()
-    needed = set()
+    needed: set[str] = set()
     for tree in all_exprs:
         needed |= E.referenced_functions(tree)
-    missing = needed - set(functions)
-    if missing:
-        raise CompileError(
-            f"compiled expressions call unknown function(s) "
-            f"{sorted(missing)}")
 
-    y0 = [graph.node(state.node).inits.get(state.deriv, 0.0)
-          for state in states]
+    return GraphStructure(
+        key=key, language=language, states=states,
+        state_index=state_index, rhs_specs=rhs, algebraic=algebraic,
+        diffusion=tuple(diffusion), attr_keys=_attr_keys(all_exprs),
+        needed=tuple(sorted(needed)), absolute=absolute)
 
-    return OdeSystem(
-        graph=graph,
-        language=language,
-        states=states,
-        state_index=state_index,
-        rhs_specs=rhs,
-        algebraic=algebraic,
-        attr_values=attr_values,
-        functions={name: functions[name] for name in needed},
-        y0=y0,
-        diffusion=tuple(diffusion),
-    )
+
+def compile_structure(graph: DynamicalGraph,
+                      language: Language | None = None) -> GraphStructure:
+    """The structure step of :func:`compile_graph`: Algorithm 1 up to,
+    but excluding, resolving the graph's values."""
+    language = language or graph.language
+    _prepare(graph)
+    return _compile_structure(graph, language,
+                              structure_key(graph, language))
+
+
+def compile_graph(graph: DynamicalGraph,
+                  language: Language | None = None) -> OdeSystem:
+    """Compile ``graph`` into an :class:`OdeSystem` (Algorithm 1): the
+    structure step, then the bind step.
+
+    :param language: language whose rules drive compilation; defaults to
+        the graph's own language. Passing a derived language compiles the
+        same graph under the extended semantics — the inheritance rules
+        guarantee identical dynamics when the graph only uses parent types.
+    """
+    return compile_structure(graph, language)._bind(graph)
+
+
+def compile_graphs(graphs, language: Language | None = None,
+                   ) -> list[OdeSystem]:
+    """Compile an ensemble: one structure step per distinct
+    :func:`structure_key`, one bind step per graph.
+
+    Equivalent to ``[compile_graph(g, language) for g in graphs]`` —
+    same systems, same errors, raised at the same graph — but a
+    mismatch ensemble, whose members differ only in attribute values,
+    pays Algorithm 1 once. The structures live for this call only.
+    """
+    structures: dict[tuple, GraphStructure] = {}
+    systems: list[OdeSystem] = []
+    for graph in graphs:
+        effective = language or graph.language
+        _prepare(graph)
+        key = structure_key(graph, effective)
+        structure = structures.get(key)
+        if structure is None:
+            structure = _compile_structure(graph, effective, key)
+            structures[key] = structure
+        systems.append(structure._bind(graph))
+    return systems

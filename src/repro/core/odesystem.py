@@ -208,6 +208,35 @@ class _Codegen(E.CodegenContext):
         return alias
 
 
+def function_keys(functions: dict[str, object]) -> tuple:
+    """Function identities as they enter a structural signature: the
+    ``_ark_vector_key`` equivalence tag, else object identity."""
+    return tuple(
+        (name, getattr(fn, "_ark_vector_key", None) or id(fn))
+        for name, fn in sorted(functions.items()))
+
+
+def signature_of(states, rhs_specs, algebraic, attr_keys, functions,
+                 diffusion) -> tuple:
+    """The :meth:`OdeSystem.structural_signature` of these parts;
+    ``attr_keys`` is any iterable of ``(kind, owner, attr)`` keys."""
+    spec_keys = tuple(
+        ("chain", spec.next_index) if isinstance(spec, ChainRhs)
+        else ("terms", spec.reduction.value,
+              tuple(str(term) for term in spec.terms))
+        for spec in rhs_specs)
+    algebraic_keys = tuple(
+        (spec.name, spec.reduction.value,
+         tuple(str(term) for term in spec.terms))
+        for spec in algebraic)
+    diffusion_keys = tuple(
+        (term.state_index, str(term.amplitude), term.element, term.path)
+        for term in diffusion)
+    return (tuple(state.label for state in states), spec_keys,
+            algebraic_keys, tuple(sorted(attr_keys)),
+            function_keys(functions), diffusion_keys)
+
+
 class OdeSystem:
     """A compiled dynamical system (see module docstring)."""
 
@@ -218,7 +247,8 @@ class OdeSystem:
                  attr_values: dict[tuple, object],
                  functions: dict[str, object],
                  y0: list[float],
-                 diffusion: tuple[DiffusionTerm, ...] = ()):
+                 diffusion: tuple[DiffusionTerm, ...] = (),
+                 structure=None):
         self.graph = graph
         self.language = language
         self.states = states
@@ -229,6 +259,9 @@ class OdeSystem:
         self.functions = functions
         self.y0 = np.asarray(y0, dtype=float)
         self.diffusion = tuple(diffusion)
+        #: The compiler's shared value-free structure this system was
+        #: bound to (``None`` for systems assembled by hand).
+        self.structure = structure
         self._compiled_rhs = None
         self._signature = None
 
@@ -283,10 +316,19 @@ class OdeSystem:
 
         The signature is computed once and memoized: everything it
         reads is fixed at compile time, and ensemble grouping plus
-        trajectory-cache keying call this per instance per run.
+        trajectory-cache keying call this per instance per run. A
+        system bound to a shared compiler structure
+        (:class:`~repro.core.compiler.GraphStructure`) takes it from
+        the structure, which computes it once per ensemble.
         """
-        if self._signature is not None:
-            return self._signature
+        if self._signature is None:
+            self._signature = (
+                self.structure.signature(self.functions)
+                if self.structure is not None
+                else signature_of(self.states, self.rhs_specs,
+                                  self.algebraic, self.attr_values,
+                                  self.functions, self.diffusion))
+        return self._signature
         spec_keys = tuple(
             ("chain", spec.next_index) if isinstance(spec, ChainRhs)
             else ("terms", spec.reduction.value,

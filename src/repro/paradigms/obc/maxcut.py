@@ -298,7 +298,7 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
     """
     from repro.sim import compile_batch, solve_sde
     from repro.sim.plan import sharded_solve_sde
-    from repro.core.compiler import compile_graph
+    from repro.core.compiler import compile_graphs
     from repro.paradigms.obc.noisy import MaxcutTrialFactory
 
     rng = np.random.default_rng(seed)
@@ -311,8 +311,8 @@ def maxcut_noise_sweep(edges: list[tuple[int, int]], n_vertices: int,
             n_vertices=n_vertices,
             initials=tuple(tuple(row) for row in initials),
             noise_sigma=float(sigma))
-        systems = [compile_graph(factory(trial))
-                   for trial in range(trials)]
+        systems = compile_graphs([factory(trial)
+                                  for trial in range(trials)])
         if sigma > 0.0:
             tokens = [f"{seed}:{k}" for k in range(trials)]
             options = dict(n_points=n_points, method=method,

@@ -136,6 +136,11 @@ def run_ensemble(factory, seeds, t_span, *, n_points: int = 500,
     *and* transient-noise sweeps.
 
     :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
+        It is called for every seed before the instances are compiled
+        together (one structure step per distinct structure), so each
+        call must return its own graph: a graph mutated per seed, or a
+        function re-registered per seed on one shared language, would
+        give every instance the last seed's values.
     :param method: ``auto`` (batched rkf45 + serial RK45 fallback),
         ``rkf45``/``rk4`` (force a batch solver), or any scipy
         ``solve_ivp`` method name (forces the serial path for every

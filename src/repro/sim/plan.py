@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro import telemetry
-from repro.core.compiler import compile_graph
+from repro.core.compiler import compile_graphs
 from repro.core.graph import DynamicalGraph
 from repro.core.odesystem import OdeSystem
 from repro.core.simulator import Trajectory, simulate
@@ -128,7 +128,8 @@ class NoiseSpec:
 class ExecutionPlan:
     """Everything that determines one ensemble execution.
 
-    :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``.
+    :param factory: ``factory(seed) -> DynamicalGraph | OdeSystem``,
+        a fresh graph per call (all seeds are built before compiling).
     :param seeds: mismatch seeds, one fabricated instance each.
     :param t_span: integration span ``(t0, t1)``.
     :param backend: execution backend name (see :data:`BACKENDS`);
@@ -279,14 +280,30 @@ class ExecutionPlan:
 # ----------------------------------------------------------------------
 
 
-def _compile_target(target) -> OdeSystem:
-    if isinstance(target, DynamicalGraph):
-        return compile_graph(target)
-    if isinstance(target, OdeSystem):
-        return target
-    raise SimulationError(
-        f"ensemble factory must return a DynamicalGraph or OdeSystem, "
-        f"got {type(target).__name__}")
+def _compile_targets(targets) -> list[OdeSystem]:
+    """Compile factory outputs in order: graphs through
+    :func:`~repro.core.compiler.compile_graphs` (one structure step per
+    distinct structure, one bind step per graph), compiled systems as
+    they are."""
+    for target in targets:
+        if not isinstance(target, (DynamicalGraph, OdeSystem)):
+            raise SimulationError(
+                f"ensemble factory must return a DynamicalGraph or "
+                f"OdeSystem, got {type(target).__name__}")
+    compiled = iter(compile_graphs(
+        [t for t in targets if isinstance(t, DynamicalGraph)]))
+    return [next(compiled) if isinstance(t, DynamicalGraph) else t
+            for t in targets]
+
+
+def _compile_counts(systems) -> tuple[int, int]:
+    """``(structures, bound)``: how many distinct compiler structures
+    lie behind ``systems`` (each one a full Algorithm-1 compile) and
+    how many further instances were only bound to one. Duplicated
+    entries (replicated SDE chips) count once."""
+    unique = {id(s): s for s in systems if s.structure is not None}
+    structures = len({id(s.structure) for s in unique.values()})
+    return structures, len(unique) - structures
 
 
 def _pickled_common(*payload) -> bytes | None:
@@ -391,7 +408,7 @@ def _batch_shard_job(shard_seeds):
     The measured wall time feeds the scheduler's cost profile."""
     factory, t_span, options, fuse = _POOL_COMMON
     started = time.perf_counter()
-    systems = [_compile_target(factory(seed)) for seed in shard_seeds]
+    systems = _compile_targets([factory(seed) for seed in shard_seeds])
     batch = compile_batch(systems, fuse=fuse,
                           array_backend=options.get("array_backend"))
     trajectory = solve_batch(batch, t_span, **options)
@@ -471,13 +488,13 @@ def _compile_sde_rows(factory, rows):
     chip_seed, noise_token)``; returns ``(replicated, tokens)``.
     Shared by the throwaway shard jobs and the persistent pool's
     workers — one copy keeps the two backends' arithmetic identical."""
-    compiled: dict = {}
-    replicated, tokens = [], []
-    for chip_key, chip_seed, token in rows:
-        if chip_key not in compiled:
-            compiled[chip_key] = _compile_target(factory(chip_seed))
-        replicated.append(compiled[chip_key])
-        tokens.append(token)
+    chips: dict = {}
+    for chip_key, chip_seed, _token in rows:
+        chips.setdefault(chip_key, chip_seed)
+    compiled = dict(zip(chips, _compile_targets(
+        [factory(chip_seed) for chip_seed in chips.values()])))
+    replicated = [compiled[chip_key] for chip_key, _seed, _tok in rows]
+    tokens = [token for _key, _seed, token in rows]
     return replicated, tokens
 
 
@@ -955,9 +972,15 @@ def _progress_totals(plan: ExecutionPlan, systems: list) -> tuple:
 
 def _stream(plan: ExecutionPlan, seeds: list, progress=None):
     with telemetry.span("plan.compile"):
-        systems = [_compile_target(plan.factory(seed))
-                   for seed in seeds]
+        with telemetry.span("plan.build"):
+            targets = [plan.factory(seed) for seed in seeds]
+        with telemetry.span("plan.compile_graph"):
+            systems = _compile_targets(targets)
     telemetry.add("plan.instances", len(systems))
+    if telemetry.enabled():
+        structures, bound = _compile_counts(systems)
+        telemetry.add("compile.structures", structures)
+        telemetry.add("compile.bound", bound)
     if progress is not None:
         total_chunks, total_rows = _progress_totals(plan, systems)
         progress.begin(groups=total_chunks, instances=total_rows)

@@ -126,20 +126,21 @@ def _run_shard(task: ShardTask) -> dict:
     # Lazy import: plan.py is the registry module and imports this one
     # inside functions only, so importing it here (in the worker) is
     # cycle-free.
-    from repro.sim.plan import _compile_sde_rows, _compile_target
+    from repro.sim.plan import (_compile_counts, _compile_sde_rows,
+                                _compile_targets)
 
     started = time.monotonic() if task.collect else 0.0
     factory_common, payload_hit = _load_common(task.common)
     factory, t_span, options, fuse = factory_common
     array_backend = options.get("array_backend")
     if task.kind == "ode":
-        systems = [_compile_target(factory(seed)) for seed in task.rows]
+        systems = _compile_targets([factory(seed) for seed in task.rows])
         batch = compile_batch(systems, fuse=fuse,
                               array_backend=array_backend)
         trajectory = solve_batch(batch, t_span, **options)
     else:
-        replicated, tokens = _compile_sde_rows(factory, task.rows)
-        batch = compile_batch(replicated, fuse=fuse,
+        systems, tokens = _compile_sde_rows(factory, task.rows)
+        batch = compile_batch(systems, fuse=fuse,
                               array_backend=array_backend)
         trajectory = solve_sde(batch, t_span, noise_seeds=tokens,
                                **options)
@@ -162,6 +163,7 @@ def _run_shard(task: ShardTask) -> dict:
         import multiprocessing
 
         busy = time.monotonic() - started
+        structures, bound = _compile_counts(systems)
         meta["telemetry"] = {
             "worker": multiprocessing.current_process().name,
             "shards": 1,
@@ -172,6 +174,8 @@ def _run_shard(task: ShardTask) -> dict:
             "busy_seconds": busy,
             "payload_cache_hits": int(payload_hit),
             "payload_cache_misses": int(not payload_hit),
+            "compile_structures": structures,
+            "compile_bound": bound,
             # Timestamped span for the trace timeline: ``t0`` is the
             # worker's monotonic clock at shard start, which the parent
             # rebases onto the collection window (monotonic is the one

@@ -274,7 +274,9 @@ def merge_worker(info: dict) -> None:
     ``info`` must carry a ``"worker"`` name; every other numeric entry
     is summed into that worker's block under ``report.workers`` and,
     for the queue/busy/payload-cache metrics, into the matching global
-    ``pool.*`` counters so single-number totals stay one lookup away.
+    ``pool.*`` counters so single-number totals stay one lookup away;
+    the workers' compile counts likewise add to ``compile.structures``
+    and ``compile.bound``.
     An optional ``"events"`` list (monotonic-stamped shard-solve spans)
     is rebased onto this window's timeline and lands in
     ``report.events`` — one trace lane per worker.
@@ -295,7 +297,9 @@ def merge_worker(info: dict) -> None:
                         ("busy_seconds", "pool.worker_busy_seconds"),
                         ("payload_cache_hits", "pool.payload_cache_hits"),
                         ("payload_cache_misses",
-                         "pool.payload_cache_misses")):
+                         "pool.payload_cache_misses"),
+                        ("compile_structures", "compile.structures"),
+                        ("compile_bound", "compile.bound")):
         if key in info:
             counters[pooled] = counters.get(pooled, 0) + info[key]
 
